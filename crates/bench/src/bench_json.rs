@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Sections of the benchmark file: bench name → (label → mean ns/iter or
 /// other scalar).
@@ -59,9 +59,27 @@ pub fn update_workspace(section: &str, entries: &[(String, f64)]) -> io::Result<
     update(&workspace_path(), section, entries)
 }
 
-/// The workspace root's `BENCH_engine.json`.
-pub fn workspace_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json")
+/// The workspace root's `BENCH_engine.json`, resolved at run time: the
+/// nearest directory at or above the current one whose `Cargo.toml`
+/// declares a `[workspace]` (cargo runs benches from their package
+/// directory, inside the checkout being built). A build copied to another
+/// directory therefore writes into that copy, never into the checkout it
+/// was first compiled in. Outside any workspace the current directory is
+/// used.
+pub fn workspace_path() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd)
+        .unwrap_or(&cwd)
+        .join("BENCH_engine.json")
+}
+
+/// The nearest ancestor of `start` (itself included) holding a workspace
+/// `Cargo.toml`.
+fn workspace_root(start: &Path) -> Option<&Path> {
+    start.ancestors().find(|dir| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    })
 }
 
 /// Read and parse a bench file in the canonical two-level shape.
@@ -253,6 +271,29 @@ mod tests {
         // The malformed content survives for the operator to inspect.
         assert!(std::fs::read_to_string(&path).unwrap().contains("merge"));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn workspace_root_is_found_from_a_package_directory() {
+        let dir = std::env::temp_dir().join(format!("pal_bench_ws_{}", std::process::id()));
+        let pkg = dir.join("crates/pkg");
+        std::fs::create_dir_all(&pkg).unwrap();
+        std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(pkg.join("Cargo.toml"), "[package]\nname = \"pkg\"\n").unwrap();
+        assert_eq!(workspace_root(&pkg), Some(dir.as_path()));
+        assert_eq!(workspace_root(&dir), Some(dir.as_path()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Tests run from this package's directory, so the run-time lookup
+    /// lands on this checkout's root file.
+    #[test]
+    fn workspace_path_points_at_this_checkout() {
+        let expected = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../BENCH_engine.json")
+            .canonicalize()
+            .unwrap();
+        assert_eq!(workspace_path().canonicalize().unwrap(), expected);
     }
 
     /// The committed repo-root BENCH_engine.json must stay parseable —

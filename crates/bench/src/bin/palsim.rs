@@ -30,7 +30,8 @@
 //! running any cell. Bad arguments and unparseable configs exit nonzero
 //! with a one-line diagnostic (`file:line:col: message` for syntax
 //! errors, with a `caused by:` chain for wrapped errors); runtime
-//! simulation failures exit 1, usage errors exit 2. Results go to
+//! simulation failures exit 1, usage and config errors (in every mode,
+//! `check` included) exit 2. Results go to
 //! stdout; progress (cell and worker counts) goes to stderr, so piped
 //! CSV stays clean.
 //!
@@ -46,7 +47,7 @@
 //! ```
 
 use pal::{AdaptivePal, PalPlacement, PmFirstPlacement};
-use pal_bench::{longhorn_profile, PROFILE_SEED};
+use pal_bench::{longhorn_profile, register_longhorn, LONGHORN_MEASURED_GPUS, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, LocalityModel};
 use pal_config::{
     campaign_from_path, render_chain, resume_spilled, save_state, spilled_config, spilled_results,
@@ -76,10 +77,7 @@ fn main() -> ExitCode {
 /// pattern for downstream workload families.
 fn cli_registry() -> Registry {
     let mut registry = Registry::with_builtins();
-    registry.register_profile("longhorn", |args, ctx| {
-        let seed = args.get_or("seed", PROFILE_SEED)?;
-        Ok(longhorn_profile(ctx.gpus, seed))
-    });
+    register_longhorn(&mut registry);
     registry
 }
 
@@ -552,7 +550,7 @@ fn cmd_check(argv: &[String]) -> ExitCode {
         }
     }
     if failed {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
     }
@@ -682,6 +680,12 @@ fn legacy_main(argv: &[String]) -> ExitCode {
         return usage_err("--nodes and --gpus-per-node must be positive");
     }
     let topo = ClusterTopology::new(args.nodes, args.gpus_per_node);
+    if topo.total_gpus() > LONGHORN_MEASURED_GPUS {
+        return usage_err(&format!(
+            "the cluster has {} GPUs; the Longhorn profile has {LONGHORN_MEASURED_GPUS}",
+            topo.total_gpus()
+        ));
+    }
     let profile = longhorn_profile(topo.total_gpus(), args.seed);
     let locality = LocalityModel::uniform(args.locality);
     let trace = match build_trace(&args) {

@@ -11,6 +11,7 @@
 
 use pal::{PalPlacement, PmFirstPlacement, PmTableCache};
 use pal_cluster::{ClusterTopology, LocalityModel, VariabilityProfile};
+use pal_config::{ConfigError, Registry};
 use pal_gpumodel::{profiler, ClusterFlavor, GpuSpec, ProfiledApp, Workload};
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
 use pal_sim::{Campaign, PlacementPolicy, PolicySpec, Scenario, SchedulingPolicy, SimResult};
@@ -56,6 +57,28 @@ pub fn longhorn_profile(n_gpus: usize, seed: u64) -> VariabilityProfile {
         seed,
     );
     VariabilityProfile::sample_from_profiled(&profiled, n_gpus, seed ^ 0x5A5A)
+}
+
+/// Register the `longhorn` profile kind: [`longhorn_profile`] for the
+/// cluster's GPU count, with an optional `seed` parameter (default
+/// [`PROFILE_SEED`]). The profile samples the measured cluster without
+/// repetition, so a cluster larger than [`LONGHORN_MEASURED_GPUS`] is a
+/// typed [`ConfigError::BadParam`], not a panic.
+pub fn register_longhorn(registry: &mut Registry) {
+    registry.register_profile("longhorn", |args, ctx| {
+        let seed = args.get_or("seed", PROFILE_SEED)?;
+        if ctx.gpus > LONGHORN_MEASURED_GPUS {
+            return Err(ConfigError::BadParam {
+                context: args.context().to_string(),
+                message: format!(
+                    "the cluster has {} GPUs, but Longhorn profiles sample without \
+                     repetition from {LONGHORN_MEASURED_GPUS} measured GPUs",
+                    ctx.gpus
+                ),
+            });
+        }
+        Ok(longhorn_profile(ctx.gpus, seed))
+    });
 }
 
 /// The exact 64-GPU Frontera testbed profile of Section V-A (indexed by

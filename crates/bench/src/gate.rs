@@ -3,16 +3,19 @@
 //! [`check`] compares a freshly measured bench file against the committed
 //! baseline and reports hard failures across the gated sections
 //! ([`GATED_SECTIONS`]: `engine_rounds`, `campaign_startup`,
-//! `campaign_throughput`, `serving_latency`, and `observer_overhead`):
+//! `campaign_throughput`, `serving_latency`, `observer_overhead`, and
+//! `core_kernels`):
 //!
 //! - any **deterministic** metric (the `rounds/*` simulated/executed
 //!   round counts, the `builds/*` PM-score table build counts, the
 //!   `cells/*` campaign cells-completed counts of the fleet-execution
 //!   grid, the `served/*` serving outcomes of a seeded 1M-request
-//!   stream, the `overhead/*` within-run null-sink wall-time ratio —
+//!   stream, the `overhead/*` within-run null-sink wall-time ratio, the
+//!   `allocs/*` heap allocations of one PM-score binning call —
 //!   bit-exact or machine-common-mode-free by construction) more than
-//!   [`DETERMINISTIC_TOLERANCE`] (1.05×) over its baseline — these need
-//!   no noise allowance, so even a small skip-efficiency or
+//!   [`DETERMINISTIC_TOLERANCE`] (1.05×) over its baseline, and any
+//!   `allocs/*` count above its baseline at all ([`EXACT_PREFIX`]) —
+//!   these need no noise allowance, so even a small skip-efficiency or
 //!   cache-efficiency regression fails; intentional changes to the bench
 //!   scenario or engine re-commit the refreshed baseline instead;
 //! - any *wall-time* metric more than `tolerance ×` the run's **median**
@@ -68,7 +71,13 @@ pub const GATED_SECTIONS: &[(&str, &str)] = &[
     ("campaign_throughput", "cells/"),
     ("serving_latency", "served/"),
     ("observer_overhead", "overhead/"),
+    ("core_kernels", "allocs/"),
 ];
+
+/// Key prefix of deterministic integer counts held exactly: any rise
+/// over the baseline fails, since even one extra allocation per call is
+/// a real change and [`DETERMINISTIC_TOLERANCE`] would let it through.
+pub const EXACT_PREFIX: &str = "allocs/";
 
 /// Key prefix of informational metrics (peak-RSS readings): reported in
 /// the gate output for trend-watching, but never gated and excluded from
@@ -157,10 +166,15 @@ pub fn check(baseline: &BenchSections, current: &BenchSections, tolerance: f64) 
                     if key.starts_with(det_prefix) {
                         // Deterministic counts: gate near-exactly — no noise
                         // allowance applies to a bit-exact re-run.
-                        if ratio > DETERMINISTIC_TOLERANCE {
+                        let limit = if key.starts_with(EXACT_PREFIX) {
+                            1.0
+                        } else {
+                            DETERMINISTIC_TOLERANCE
+                        };
+                        if ratio > limit {
                             report.failures.push(format!(
                                 "{section}/{key}: {now:.1} is {ratio:.2}x baseline {was:.1} \
-                                 (deterministic count, tolerance {DETERMINISTIC_TOLERANCE}x)"
+                                 (deterministic count, tolerance {limit}x)"
                             ));
                         } else {
                             report
@@ -438,6 +452,22 @@ mod tests {
         let cur = sections(&[("observer_overhead", &[("overhead/null_sink_ratio", 1.04)])]);
         assert!(check(&base, &cur, DEFAULT_TOLERANCE).passed());
         let cur = sections(&[("observer_overhead", &[("overhead/null_sink_ratio", 1.2)])]);
+        let r = check(&base, &cur, DEFAULT_TOLERANCE);
+        assert!(!r.passed());
+        assert!(
+            r.failures[0].contains("deterministic count"),
+            "{}",
+            r.failures[0]
+        );
+    }
+
+    #[test]
+    fn binning_allocation_count_gates_bit_exactly() {
+        // A kernel change that allocates per restart or per K multiplies
+        // the per-call count; no wall-time noise allowance applies.
+        let base = sections(&[("core_kernels", &[("allocs/score_binning/64", 20.0)])]);
+        let cur = sections(&[("core_kernels", &[("allocs/score_binning/64", 21.0)])]);
+        assert!(check(&base, &base, DEFAULT_TOLERANCE).passed());
         let r = check(&base, &cur, DEFAULT_TOLERANCE);
         assert!(!r.passed());
         assert!(

@@ -12,8 +12,8 @@
 //!    extreme outliers are assigned their own PM-score equal to the GPU's
 //!    normalized performance").
 
-use crate::kmeans::KMeans;
-use crate::silhouette::min_cluster_silhouette;
+use crate::kmeans::{KMeans, KMeansScratch};
+use crate::silhouette::Silhouette;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the PM-score binning pipeline.
@@ -89,9 +89,10 @@ impl ScoreBinning {
                 inlier_idx.push(i);
             }
         }
-        let inliers: Vec<Vec<f64>> = inlier_idx.iter().map(|&i| vec![values[i]]).collect();
+        let inliers: Vec<[f64; 1]> = inlier_idx.iter().map(|&i| [values[i]]).collect();
 
-        // 2. K sweep with worst-bin silhouette selection.
+        // 2. K sweep with worst-bin silhouette selection. One K-Means
+        // scratch and one distance table serve every K.
         let mut scores = vec![0.0f64; n];
         let chosen_k;
         let chosen_sil;
@@ -104,30 +105,25 @@ impl ScoreBinning {
 
         if distinct_inliers >= 2 {
             let k_hi = self.k_max.min(distinct_inliers);
-            /// Best (K, silhouette, assignments, centroids) found so far.
-            type BestBinning = (usize, f64, Vec<usize>, Vec<Vec<f64>>);
-            let mut best: Option<BestBinning> = None;
+            let mut scratch = KMeansScratch::default();
+            let mut silhouette = Silhouette::new(&inliers);
+            // Best (K, silhouette) so far; its centroids are already in
+            // `scores`.
+            let mut best: Option<(usize, f64)> = None;
             for k in self.k_min..=k_hi.max(self.k_min) {
                 if k > inliers.len() {
                     break;
                 }
-                let r = KMeans::new(k, self.seed ^ k as u64).fit(&inliers);
-                let sil = min_cluster_silhouette(&inliers, &r.assignments);
-                let better = match &best {
-                    None => true,
-                    Some((_, best_sil, _, _)) => sil > *best_sil + 1e-12,
-                };
-                if better {
-                    best = Some((k, sil, r.assignments, r.centroids));
+                let r = KMeans::new(k, self.seed ^ k as u64).fit_with(&inliers, &mut scratch);
+                let sil = silhouette.min_cluster(&r.assignments);
+                if best.is_none_or(|(_, best_sil)| sil > best_sil + 1e-12) {
+                    best = Some((k, sil));
+                    for (&i, &a) in inlier_idx.iter().zip(&r.assignments) {
+                        scores[i] = r.centroids[a][0];
+                    }
                 }
             }
-            let (k, sil, assignments, centroids) =
-                best.expect("at least one K tried when >=2 distinct inliers");
-            chosen_k = k;
-            chosen_sil = sil;
-            for (pos, &i) in inlier_idx.iter().enumerate() {
-                scores[i] = centroids[assignments[pos]][0];
-            }
+            (chosen_k, chosen_sil) = best.expect("at least one K tried when >=2 distinct inliers");
         } else {
             // All inliers identical (or a single inlier): one trivial bin.
             for &i in &inlier_idx {

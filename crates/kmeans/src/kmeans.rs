@@ -1,11 +1,17 @@
-//! Lloyd's K-Means with k-means++ seeding.
+//! Lloyd's K-Means with k-means++ seeding over fixed-width points.
+//!
+//! Points are `[f64; D]` with a const-generic dimension, so the distance
+//! and update loops compile to straight-line code for the two widths the
+//! paper needs (`D = 1` for PM-score binning, `D = 2` for application
+//! classification). All working memory lives in a [`KMeansScratch`] that
+//! callers keep across restarts and K values, so a fit allocates nothing
+//! once the scratch has grown.
 //!
 //! Deterministic given a seed; handles empty clusters by re-seeding them on
 //! the farthest point from its centroid (a standard, stable repair).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration and entry point for K-Means clustering.
 #[derive(Debug, Clone)]
@@ -23,17 +29,30 @@ pub struct KMeans {
     pub n_init: usize,
 }
 
-/// Result of a K-Means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KMeansResult {
-    /// Cluster centroids, `k` rows of dimension `d`.
-    pub centroids: Vec<Vec<f64>>,
+/// Result of a K-Means run over `D`-dimensional points.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KMeansResult<const D: usize> {
+    /// Cluster centroids, `k` of them.
+    pub centroids: Vec<[f64; D]>,
     /// Cluster index assigned to each input point.
     pub assignments: Vec<usize>,
     /// Sum of squared distances of points to their assigned centroid.
     pub inertia: f64,
     /// Number of Lloyd iterations performed.
     pub iterations: usize,
+}
+
+/// Working memory of [`KMeans::fit_with`]: the best restart so far, the
+/// restart in progress, and the per-iteration buffers. Reusing one across
+/// fits (restarts, a K sweep) makes every fit after the first
+/// allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct KMeansScratch<const D: usize> {
+    best: KMeansResult<D>,
+    run: KMeansResult<D>,
+    sums: Vec<[f64; D]>,
+    counts: Vec<usize>,
+    d2: Vec<f64>,
 }
 
 impl KMeans {
@@ -52,22 +71,21 @@ impl KMeans {
     /// Cluster `points` into `k` groups, keeping the best of `n_init`
     /// restarts by inertia.
     ///
-    /// Panics if `points` is empty, `k == 0`, `k > points.len()`, or the
-    /// points have inconsistent dimensions.
-    pub fn fit(&self, points: &[Vec<f64>]) -> KMeansResult {
-        assert!(self.n_init >= 1, "need at least one restart");
-        let mut best: Option<KMeansResult> = None;
-        for i in 0..self.n_init {
-            let r = self.fit_once(points, self.seed.wrapping_add(i as u64 * 0x9E37_79B9));
-            if best.as_ref().is_none_or(|b| r.inertia < b.inertia) {
-                best = Some(r);
-            }
-        }
-        best.expect("n_init >= 1")
+    /// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
+    pub fn fit<const D: usize>(&self, points: &[[f64; D]]) -> KMeansResult<D> {
+        let mut scratch = KMeansScratch::default();
+        self.fit_with(points, &mut scratch);
+        scratch.best
     }
 
-    /// One Lloyd run from a single k-means++ seeding.
-    fn fit_once(&self, points: &[Vec<f64>], seed: u64) -> KMeansResult {
+    /// [`fit`](KMeans::fit) into caller-held scratch; the result borrows
+    /// it and stays valid until the scratch's next fit.
+    pub fn fit_with<'s, const D: usize>(
+        &self,
+        points: &[[f64; D]],
+        scratch: &'s mut KMeansScratch<D>,
+    ) -> &'s KMeansResult<D> {
+        assert!(self.n_init >= 1, "need at least one restart");
         assert!(!points.is_empty(), "kmeans on empty input");
         assert!(self.k > 0, "k must be positive");
         assert!(
@@ -76,51 +94,63 @@ impl KMeans {
             self.k,
             points.len()
         );
-        let dim = points[0].len();
-        assert!(
-            points.iter().all(|p| p.len() == dim),
-            "inconsistent point dimensions"
-        );
+        for i in 0..self.n_init {
+            self.fit_once(
+                points,
+                self.seed.wrapping_add(i as u64 * 0x9E37_79B9),
+                scratch,
+            );
+            // The first restart always wins: `best` still holds the
+            // previous fit's result.
+            if i == 0 || scratch.run.inertia < scratch.best.inertia {
+                std::mem::swap(&mut scratch.run, &mut scratch.best);
+            }
+        }
+        &scratch.best
+    }
 
+    /// One Lloyd run from a single k-means++ seeding, into `scratch.run`.
+    fn fit_once<const D: usize>(&self, points: &[[f64; D]], seed: u64, s: &mut KMeansScratch<D>) {
+        let k = self.k;
+        let run = &mut s.run;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut centroids = kmeanspp_init(points, self.k, &mut rng);
-        let mut assignments = vec![0usize; points.len()];
-        let mut iterations = 0;
+        kmeanspp_init(points, k, &mut rng, &mut run.centroids, &mut s.d2);
+        run.assignments.clear();
+        run.assignments.resize(points.len(), 0);
+        run.iterations = 0;
 
         for iter in 0..self.max_iters {
-            iterations = iter + 1;
+            run.iterations = iter + 1;
             // Assignment step.
-            for (i, p) in points.iter().enumerate() {
-                assignments[i] = nearest(p, &centroids).0;
+            for (a, p) in run.assignments.iter_mut().zip(points) {
+                *a = nearest(p, &run.centroids).0;
             }
             // Update step.
-            let mut sums = vec![vec![0.0; dim]; self.k];
-            let mut counts = vec![0usize; self.k];
-            for (p, &a) in points.iter().zip(&assignments) {
-                counts[a] += 1;
-                for (s, &x) in sums[a].iter_mut().zip(p) {
-                    *s += x;
+            s.sums.clear();
+            s.sums.resize(k, [0.0; D]);
+            s.counts.clear();
+            s.counts.resize(k, 0);
+            for (p, &a) in points.iter().zip(&run.assignments) {
+                s.counts[a] += 1;
+                for (sum, &x) in s.sums[a].iter_mut().zip(p) {
+                    *sum += x;
                 }
             }
             let mut movement = 0.0;
-            for c in 0..self.k {
-                if counts[c] == 0 {
+            for c in 0..k {
+                if s.counts[c] == 0 {
                     // Empty cluster: re-seed on the point farthest from its
                     // current centroid.
-                    let (far_idx, _) = points
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| (i, sq_dist(p, &centroids[assignments[i]])))
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
-                        .expect("non-empty points");
-                    movement += sq_dist(&centroids[c], &points[far_idx]);
-                    centroids[c] = points[far_idx].clone();
-                    assignments[far_idx] = c;
+                    let far = farthest(points, &run.centroids, &run.assignments);
+                    movement += sq_dist(&run.centroids[c], &points[far]);
+                    run.centroids[c] = points[far];
+                    run.assignments[far] = c;
                     continue;
                 }
-                let new_c: Vec<f64> = sums[c].iter().map(|&s| s / counts[c] as f64).collect();
-                movement += sq_dist(&centroids[c], &new_c);
-                centroids[c] = new_c;
+                let count = s.counts[c] as f64;
+                let new_c = s.sums[c].map(|sum| sum / count);
+                movement += sq_dist(&run.centroids[c], &new_c);
+                run.centroids[c] = new_c;
             }
             if movement <= self.tol {
                 break;
@@ -128,32 +158,25 @@ impl KMeans {
         }
 
         // Final assignment pass so assignments match the final centroids.
-        let mut inertia = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let (a, d) = nearest(p, &centroids);
-            assignments[i] = a;
-            inertia += d;
-        }
-
-        KMeansResult {
-            centroids,
-            assignments,
-            inertia,
-            iterations,
+        run.inertia = 0.0;
+        for (a, p) in run.assignments.iter_mut().zip(points) {
+            let (c, d) = nearest(p, &run.centroids);
+            *a = c;
+            run.inertia += d;
         }
     }
 }
 
 /// Squared Euclidean distance.
-pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist<const D: usize>(a: &[f64; D], b: &[f64; D]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| (x - y) * (x - y))
         .sum::<f64>()
 }
 
-/// Index and squared distance of the nearest centroid.
-fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+/// Index and squared distance of the nearest centroid (the first on ties).
+fn nearest<const D: usize>(p: &[f64; D], centroids: &[[f64; D]]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (i, c) in centroids.iter().enumerate() {
         let d = sq_dist(p, c);
@@ -164,12 +187,38 @@ fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
     best
 }
 
-/// k-means++ seeding: first centroid uniform, subsequent centroids sampled
-/// proportionally to squared distance from the nearest chosen centroid.
-fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(points[rng.gen_range(0..points.len())].clone());
-    let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
+/// Index of the point farthest from its assigned centroid (the last on
+/// ties).
+fn farthest<const D: usize>(
+    points: &[[f64; D]],
+    centroids: &[[f64; D]],
+    assignments: &[usize],
+) -> usize {
+    let mut far = (0, sq_dist(&points[0], &centroids[assignments[0]]));
+    for (i, (p, &a)) in points.iter().zip(assignments).enumerate().skip(1) {
+        let d = sq_dist(p, &centroids[a]);
+        if d.partial_cmp(&far.1).expect("NaN distance") != std::cmp::Ordering::Less {
+            far = (i, d);
+        }
+    }
+    far.0
+}
+
+/// k-means++ seeding into `centroids`: first centroid uniform, subsequent
+/// centroids sampled proportionally to squared distance from the nearest
+/// chosen centroid (`d2` holds those distances).
+fn kmeanspp_init<const D: usize>(
+    points: &[[f64; D]],
+    k: usize,
+    rng: &mut StdRng,
+    centroids: &mut Vec<[f64; D]>,
+    d2: &mut Vec<f64>,
+) {
+    centroids.clear();
+    let first = points[rng.gen_range(0..points.len())];
+    centroids.push(first);
+    d2.clear();
+    d2.extend(points.iter().map(|p| sq_dist(p, &first)));
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
         let idx = if total <= 0.0 {
@@ -187,26 +236,26 @@ fn kmeanspp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64
             }
             chosen
         };
-        centroids.push(points[idx].clone());
-        for (i, p) in points.iter().enumerate() {
-            let d = sq_dist(p, centroids.last().expect("just pushed"));
-            if d < d2[i] {
-                d2[i] = d;
+        let c = points[idx];
+        centroids.push(c);
+        for (d, p) in d2.iter_mut().zip(points) {
+            let to_c = sq_dist(p, &c);
+            if to_c < *d {
+                *d = to_c;
             }
         }
     }
-    centroids
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn two_blobs() -> Vec<Vec<f64>> {
+    fn two_blobs() -> Vec<[f64; 2]> {
         let mut pts = Vec::new();
         for i in 0..20 {
-            pts.push(vec![0.0 + (i % 5) as f64 * 0.01, 0.0]);
-            pts.push(vec![10.0 + (i % 5) as f64 * 0.01, 10.0]);
+            pts.push([0.0 + (i % 5) as f64 * 0.01, 0.0]);
+            pts.push([10.0 + (i % 5) as f64 * 0.01, 10.0]);
         }
         pts
     }
@@ -227,14 +276,14 @@ mod tests {
 
     #[test]
     fn k_equals_n_gives_zero_inertia() {
-        let pts = vec![vec![1.0], vec![2.0], vec![3.0]];
+        let pts = [[1.0], [2.0], [3.0]];
         let r = KMeans::new(3, 1).fit(&pts);
         assert!(r.inertia < 1e-20);
     }
 
     #[test]
     fn k1_centroid_is_mean() {
-        let pts = vec![vec![1.0, 0.0], vec![3.0, 4.0]];
+        let pts = [[1.0, 0.0], [3.0, 4.0]];
         let r = KMeans::new(1, 7).fit(&pts);
         assert!((r.centroids[0][0] - 2.0).abs() < 1e-12);
         assert!((r.centroids[0][1] - 2.0).abs() < 1e-12);
@@ -249,8 +298,21 @@ mod tests {
     }
 
     #[test]
+    fn reused_scratch_matches_a_fresh_fit() {
+        // A scratch that has already served other K values and inputs
+        // must not leak state into the next fit.
+        let pts = two_blobs();
+        let mut scratch = KMeansScratch::default();
+        for k in [5, 1, 3] {
+            KMeans::new(k, 4).fit_with(&pts[..17], &mut scratch);
+        }
+        let reused = KMeans::new(2, 8).fit_with(&pts, &mut scratch).clone();
+        assert_eq!(reused, KMeans::new(2, 8).fit(&pts));
+    }
+
+    #[test]
     fn inertia_non_increasing_in_k() {
-        let pts: Vec<Vec<f64>> = (0..50).map(|i| vec![(i * i % 37) as f64]).collect();
+        let pts: Vec<[f64; 1]> = (0..50).map(|i| [(i * i % 37) as f64]).collect();
         let mut last = f64::INFINITY;
         for k in 1..=6 {
             // Use best of a few seeds to smooth seeding luck.
@@ -267,7 +329,7 @@ mod tests {
 
     #[test]
     fn identical_points_dont_crash() {
-        let pts = vec![vec![5.0]; 10];
+        let pts = [[5.0]; 10];
         let r = KMeans::new(3, 0).fit(&pts);
         assert_eq!(r.assignments.len(), 10);
         assert!(r.inertia < 1e-20);
@@ -276,13 +338,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds point count")]
     fn k_too_large_panics() {
-        KMeans::new(5, 0).fit(&[vec![1.0], vec![2.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent point dimensions")]
-    fn mixed_dims_panic() {
-        KMeans::new(1, 0).fit(&[vec![1.0], vec![2.0, 3.0]]);
+        KMeans::new(5, 0).fit(&[[1.0], [2.0]]);
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!    optimal bin count K is chosen with silhouette scores over K = 2..=11,
 //!    with >3σ outliers separated first and given their own exact scores.
 //!
-//! This crate provides Lloyd's algorithm with k-means++ seeding
-//! ([`kmeans::KMeans`]), silhouette analysis ([`silhouette`]), and the 1-D
-//! binning pipeline ([`binning::ScoreBinning`]). All randomness flows
-//! through caller-provided seeds for exact reproducibility.
+//! This crate provides Lloyd's algorithm with k-means++ seeding over
+//! fixed-width `[f64; D]` points ([`kmeans::KMeans`], one implementation
+//! for both uses), silhouette analysis over a reusable distance table
+//! ([`silhouette`]), and the 1-D binning pipeline
+//! ([`binning::ScoreBinning`]). All randomness flows through
+//! caller-provided seeds for exact reproducibility.
 
 #![warn(missing_docs)]
 
@@ -25,5 +27,5 @@ pub mod kmeans;
 pub mod silhouette;
 
 pub use binning::{BinnedScores, ScoreBinning};
-pub use kmeans::{KMeans, KMeansResult};
-pub use silhouette::{mean_silhouette, min_cluster_silhouette, silhouette_samples};
+pub use kmeans::{KMeans, KMeansResult, KMeansScratch};
+pub use silhouette::{mean_silhouette, min_cluster_silhouette, silhouette_samples, Silhouette};

@@ -2,8 +2,115 @@
 //! the number of PM-score bins K: "We select the K value that gives
 //! silhouette scores as close to +1 as possible for all bins so that we get
 //! distinct and relatively well-separated bins" (Section III-B).
+//!
+//! Scoring a labelling needs every pairwise distance, and the K sweep
+//! scores ten labellings of the same points, so [`Silhouette`] computes the
+//! distances once and reuses them (and its per-cluster buffers) for every
+//! labelling.
 
 use crate::kmeans::sq_dist;
+
+/// Pairwise Euclidean distances of one point set plus the buffers that
+/// score labellings of it.
+#[derive(Debug, Clone)]
+pub struct Silhouette {
+    n: usize,
+    /// Row-major `n × n` distance table.
+    dist: Vec<f64>,
+    /// Per-sample coefficients of the last labelling scored.
+    samples: Vec<f64>,
+    /// Cluster sizes of the last labelling scored.
+    sizes: Vec<usize>,
+    /// Per-cluster sums (of distances from one point, then of samples).
+    sums: Vec<f64>,
+}
+
+impl Silhouette {
+    /// Build the distance table of `points`.
+    pub fn new<const D: usize>(points: &[[f64; D]]) -> Self {
+        let n = points.len();
+        let mut dist = vec![0.0; n * n];
+        for (i, p) in points.iter().enumerate() {
+            for (j, q) in points.iter().enumerate().skip(i + 1) {
+                // (x - y)² and (y - x)² are the same float, so the table
+                // is exactly symmetric.
+                let d = sq_dist(p, q).sqrt();
+                dist[i * n + j] = d;
+                dist[j * n + i] = d;
+            }
+        }
+        Silhouette {
+            n,
+            dist,
+            samples: Vec::with_capacity(n),
+            sizes: Vec::new(),
+            sums: Vec::new(),
+        }
+    }
+
+    /// Per-sample silhouette coefficients of `assignments`, see
+    /// [`silhouette_samples`].
+    pub fn samples(&mut self, assignments: &[usize]) -> &[f64] {
+        self.score(assignments);
+        &self.samples
+    }
+
+    /// The smallest per-cluster mean silhouette of `assignments`, see
+    /// [`min_cluster_silhouette`].
+    pub fn min_cluster(&mut self, assignments: &[usize]) -> f64 {
+        let k = self.score(assignments);
+        self.sums.clear();
+        self.sums.resize(k, 0.0);
+        for (&a, &s) in assignments.iter().zip(&self.samples) {
+            self.sums[a] += s;
+        }
+        (0..k)
+            .filter(|&c| self.sizes[c] > 0)
+            .map(|c| self.sums[c] / self.sizes[c] as f64)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Fill `samples` and `sizes` for `assignments`; returns the cluster
+    /// count.
+    fn score(&mut self, assignments: &[usize]) -> usize {
+        assert_eq!(self.n, assignments.len(), "length mismatch");
+        let k = assignments.iter().copied().max().map_or(0, |m| m + 1);
+        assert!(k >= 2, "silhouette needs at least 2 clusters");
+        let n = self.n;
+        self.sizes.clear();
+        self.sizes.resize(k, 0);
+        for &a in assignments {
+            self.sizes[a] += 1;
+        }
+        self.samples.clear();
+        for (i, &ci) in assignments.iter().enumerate() {
+            if self.sizes[ci] <= 1 {
+                self.samples.push(0.0);
+                continue;
+            }
+            // Mean distance from i to every cluster, summed over j in
+            // ascending order, skipping j = i.
+            self.sums.clear();
+            self.sums.resize(k, 0.0);
+            let row = &self.dist[i * n..(i + 1) * n];
+            for (&d, &aj) in row[..i].iter().zip(&assignments[..i]) {
+                self.sums[aj] += d;
+            }
+            for (&d, &aj) in row[i + 1..].iter().zip(&assignments[i + 1..]) {
+                self.sums[aj] += d;
+            }
+            let a = self.sums[ci] / (self.sizes[ci] - 1) as f64;
+            let b = (0..k)
+                .filter(|&c| c != ci && self.sizes[c] > 0)
+                .map(|c| self.sums[c] / self.sizes[c] as f64)
+                .fold(f64::INFINITY, f64::min);
+            let denom = a.max(b);
+            self.samples
+                .push(if denom == 0.0 { 0.0 } else { (b - a) / denom });
+        }
+        k
+    }
+}
 
 /// Per-sample silhouette coefficients `s(i) = (b(i) - a(i)) / max(a, b)`.
 ///
@@ -12,44 +119,12 @@ use crate::kmeans::sq_dist;
 /// Singleton clusters get `s(i) = 0` by convention (scikit-learn's choice).
 ///
 /// Panics if lengths mismatch or fewer than 2 clusters are present.
-pub fn silhouette_samples(points: &[Vec<f64>], assignments: &[usize]) -> Vec<f64> {
-    assert_eq!(points.len(), assignments.len(), "length mismatch");
-    let k = assignments.iter().copied().max().map_or(0, |m| m + 1);
-    assert!(k >= 2, "silhouette needs at least 2 clusters");
-    let n = points.len();
-    let mut cluster_sizes = vec![0usize; k];
-    for &a in assignments {
-        cluster_sizes[a] += 1;
-    }
-
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let ci = assignments[i];
-        if cluster_sizes[ci] <= 1 {
-            out.push(0.0);
-            continue;
-        }
-        // Mean distance from i to every cluster.
-        let mut dist_sums = vec![0.0f64; k];
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            dist_sums[assignments[j]] += sq_dist(&points[i], &points[j]).sqrt();
-        }
-        let a = dist_sums[ci] / (cluster_sizes[ci] - 1) as f64;
-        let b = (0..k)
-            .filter(|&c| c != ci && cluster_sizes[c] > 0)
-            .map(|c| dist_sums[c] / cluster_sizes[c] as f64)
-            .fold(f64::INFINITY, f64::min);
-        let denom = a.max(b);
-        out.push(if denom == 0.0 { 0.0 } else { (b - a) / denom });
-    }
-    out
+pub fn silhouette_samples<const D: usize>(points: &[[f64; D]], assignments: &[usize]) -> Vec<f64> {
+    Silhouette::new(points).samples(assignments).to_vec()
 }
 
 /// Mean silhouette over all samples.
-pub fn mean_silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
+pub fn mean_silhouette<const D: usize>(points: &[[f64; D]], assignments: &[usize]) -> f64 {
     let s = silhouette_samples(points, assignments);
     s.iter().sum::<f64>() / s.len() as f64
 }
@@ -58,27 +133,16 @@ pub fn mean_silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
 ///
 /// The paper wants scores "as close to +1 as possible **for all bins**", so
 /// we score a K by its worst bin, not its average.
-pub fn min_cluster_silhouette(points: &[Vec<f64>], assignments: &[usize]) -> f64 {
-    let s = silhouette_samples(points, assignments);
-    let k = assignments.iter().copied().max().map_or(0, |m| m + 1);
-    let mut sums = vec![0.0f64; k];
-    let mut counts = vec![0usize; k];
-    for (&a, &si) in assignments.iter().zip(&s) {
-        sums[a] += si;
-        counts[a] += 1;
-    }
-    (0..k)
-        .filter(|&c| counts[c] > 0)
-        .map(|c| sums[c] / counts[c] as f64)
-        .fold(f64::INFINITY, f64::min)
+pub fn min_cluster_silhouette<const D: usize>(points: &[[f64; D]], assignments: &[usize]) -> f64 {
+    Silhouette::new(points).min_cluster(assignments)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn blob(center: f64, n: usize) -> Vec<Vec<f64>> {
-        (0..n).map(|i| vec![center + i as f64 * 0.01]).collect()
+    fn blob(center: f64, n: usize) -> Vec<[f64; 1]> {
+        (0..n).map(|i| [center + i as f64 * 0.01]).collect()
     }
 
     #[test]
@@ -107,7 +171,7 @@ mod tests {
 
     #[test]
     fn singleton_cluster_is_zero() {
-        let pts = vec![vec![0.0], vec![10.0], vec![10.1]];
+        let pts = [[0.0], [10.0], [10.1]];
         let assignments = vec![0, 1, 1];
         let s = silhouette_samples(&pts, &assignments);
         assert_eq!(s[0], 0.0);
@@ -117,7 +181,7 @@ mod tests {
     fn min_cluster_below_mean_for_unbalanced_quality() {
         // Cluster 0 tight, cluster 1 loose and near cluster 0.
         let mut pts = blob(0.0, 8);
-        pts.extend(vec![vec![1.0], vec![5.0], vec![9.0], vec![2.0]]);
+        pts.extend([[1.0], [5.0], [9.0], [2.0]]);
         let assignments: Vec<usize> = (0..8).map(|_| 0).chain((0..4).map(|_| 1)).collect();
         let mean = mean_silhouette(&pts, &assignments);
         let min = min_cluster_silhouette(&pts, &assignments);
@@ -125,15 +189,31 @@ mod tests {
     }
 
     #[test]
+    fn one_table_scores_many_labellings() {
+        // Reusing the table and buffers across labellings with different
+        // cluster counts gives what a fresh table gives.
+        let pts: Vec<[f64; 1]> = (0..24).map(|i| [(i * 7 % 11) as f64]).collect();
+        let mut table = Silhouette::new(&pts);
+        for k in [4usize, 2, 6, 3] {
+            let labels: Vec<usize> = (0..24).map(|i| i % k).collect();
+            assert_eq!(
+                table.min_cluster(&labels).to_bits(),
+                min_cluster_silhouette(&pts, &labels).to_bits()
+            );
+            assert_eq!(table.samples(&labels), silhouette_samples(&pts, &labels));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least 2 clusters")]
     fn single_cluster_panics() {
-        silhouette_samples(&[vec![1.0], vec![2.0]], &[0, 0]);
+        silhouette_samples(&[[1.0], [2.0]], &[0, 0]);
     }
 
     #[test]
     fn values_in_range() {
-        let pts: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i * 7 % 13) as f64, (i % 5) as f64])
+        let pts: Vec<[f64; 2]> = (0..30)
+            .map(|i| [(i * 7 % 13) as f64, (i % 5) as f64])
             .collect();
         let assignments: Vec<usize> = (0..30).map(|i| i % 3).collect();
         for s in silhouette_samples(&pts, &assignments) {

@@ -4,9 +4,9 @@
 use pal_kmeans::{mean_silhouette, silhouette_samples, KMeans, ScoreBinning};
 use proptest::prelude::*;
 
-fn points_1d() -> impl Strategy<Value = Vec<Vec<f64>>> {
+fn points_1d() -> impl Strategy<Value = Vec<[f64; 1]>> {
     proptest::collection::vec(0.1f64..10.0, 4..80)
-        .prop_map(|v| v.into_iter().map(|x| vec![x]).collect())
+        .prop_map(|v| v.into_iter().map(|x| [x]).collect())
 }
 
 fn profile_like() -> impl Strategy<Value = Vec<f64>> {

@@ -13,6 +13,11 @@
 //! estimates (K-Means + silhouette, as at design time) so the L×V matrix
 //! tracks reality. The `abl_online_updates` benchmark shows it recovering
 //! most of the JCT lost to a stale profile.
+//!
+//! Re-binning is the policy's whole cost, so it re-bins only the classes
+//! whose estimates moved since their bins were built and keeps the rest
+//! (see [`PmScoreTable::rebin_changed`]); the table is the same either
+//! way.
 
 use crate::pal_policy::PalPlacement;
 use crate::pm_scores::PmScoreTable;
@@ -27,7 +32,10 @@ use std::sync::Arc;
 pub struct AdaptiveConfig {
     /// EWMA weight of a new observation (0 = never update, 1 = replace).
     pub alpha: f64,
-    /// Re-bin (K-Means + silhouette) after this many observation batches.
+    /// Re-bin (K-Means + silhouette) after this many `observe` calls. The
+    /// engine makes one call per running job per executed round, so on a
+    /// busy cluster this fires several times per round, not once every
+    /// `rebin_every` rounds.
     pub rebin_every: usize,
     /// Binning configuration used at each re-bin.
     pub binning: ScoreBinning,
@@ -49,16 +57,23 @@ pub struct AdaptivePal {
     config: AdaptiveConfig,
     /// Current per-class, per-GPU raw score estimates (EWMA state).
     estimates: Vec<Vec<f64>>,
-    /// Rounds observed since the last re-bin.
+    /// `observe` calls (one per running job per executed round) since the
+    /// last re-bin; the name predates that reading and is kept because
+    /// exported state carries it.
     rounds_since_rebin: usize,
     /// Whether any estimate changed since the last re-bin.
     dirty: bool,
-    /// The estimates the current `inner` table was binned from — `None`
-    /// until the first re-bin (the table is still the design-time one).
-    /// Recorded so state export can rebuild `inner` exactly: re-binning
-    /// the *current* estimates on import would bake in observations the
-    /// original table never saw.
-    rebin_source: Option<Vec<Vec<f64>>>,
+    /// The raw estimates the current `inner` table was binned from: the
+    /// design-time profile's class scores until the first re-bin, the
+    /// estimates of the last re-bin after it. A re-bin keeps the bins of
+    /// every class whose estimates still equal these.
+    binned_from: Vec<Vec<f64>>,
+    /// Whether `inner` comes from a re-bin rather than the design-time
+    /// profile. Exported (as `rebin_source`, with `binned_from`) so state
+    /// import can rebuild `inner` exactly: re-binning the *current*
+    /// estimates on import would bake in observations the original table
+    /// never saw.
+    rebinned: bool,
     /// The PAL policy built on the current binned estimates.
     inner: PalPlacement,
 }
@@ -86,6 +101,8 @@ impl AdaptivePal {
     /// half of the "built from `initial` with `config.binning`"
     /// precondition; handing a table of the right shape but the wrong
     /// content is on the caller (the cache upholds it by construction).
+    /// Re-bins keep the bins of classes whose estimates never moved, so
+    /// such a table would outlive the first re-bin.
     pub fn from_shared(
         initial: &VariabilityProfile,
         table: Arc<PmScoreTable>,
@@ -105,10 +122,11 @@ impl AdaptivePal {
         let inner = PalPlacement::from_shared(table);
         AdaptivePal {
             config,
+            binned_from: estimates.clone(),
             estimates,
             rounds_since_rebin: 0,
             dirty: false,
-            rebin_source: None,
+            rebinned: false,
             inner,
         }
     }
@@ -123,17 +141,27 @@ impl AdaptivePal {
         self.inner.table()
     }
 
-    /// Force an immediate re-bin of the current estimates. Replacing the
-    /// inner PAL policy also drops its per-class score orderings
-    /// (`pal_cluster::ClassOrders`) — the lazy invalidation that keeps
-    /// spread/PM-First selection consistent with the new table; they
+    /// Force an immediate re-bin of the current estimates; classes whose
+    /// estimates have not moved since their bins were built keep them.
+    /// Replacing the inner PAL policy also drops its per-class score
+    /// orderings (`pal_cluster::ClassOrders`) — the lazy invalidation that
+    /// keeps spread/PM-First selection consistent with the new table; they
     /// rebuild on the next placement that needs them.
     pub fn rebin(&mut self) {
-        let profile = VariabilityProfile::from_raw(self.estimates.clone());
-        self.inner = PalPlacement::with_binning(&profile, &self.config.binning);
-        self.rebin_source = Some(self.estimates.clone());
+        self.rebin_from(self.estimates.clone());
         self.rounds_since_rebin = 0;
         self.dirty = false;
+    }
+
+    /// Replace the table with the binning of `source`, reusing the current
+    /// bins of every class `source` leaves unchanged.
+    fn rebin_from(&mut self, source: Vec<Vec<f64>>) {
+        let table = self
+            .table()
+            .rebin_changed(&self.binned_from, &source, &self.config.binning);
+        self.inner = PalPlacement::from_shared(Arc::new(table));
+        self.binned_from = source;
+        self.rebinned = true;
     }
 }
 
@@ -155,7 +183,10 @@ impl PlacementPolicy for AdaptivePal {
                 self.rounds_since_rebin.to_value(),
             ),
             ("dirty".into(), self.dirty.to_value()),
-            ("rebin_source".into(), self.rebin_source.to_value()),
+            (
+                "rebin_source".into(),
+                self.rebinned.then(|| self.binned_from.clone()).to_value(),
+            ),
         ]))
     }
 
@@ -166,38 +197,50 @@ impl PlacementPolicy for AdaptivePal {
                 .ok_or_else(|| format!("Adaptive-PAL state: missing field `{key}`"))
         };
         let de = |key: &str, e: serde::DeError| format!("Adaptive-PAL state `{key}`: {e}");
+        // Scores must fit this policy's shape and be usable by binning.
+        let check = |key: &str, got: &Vec<Vec<f64>>| {
+            if got.len() != self.estimates.len()
+                || got
+                    .iter()
+                    .zip(&self.estimates)
+                    .any(|(a, b)| a.len() != b.len())
+            {
+                return Err(format!(
+                    "Adaptive-PAL state: {key} shape {}x{} does not match this policy's {}x{}",
+                    got.len(),
+                    got.first().map_or(0, Vec::len),
+                    self.estimates.len(),
+                    self.estimates.first().map_or(0, Vec::len)
+                ));
+            }
+            if let Some(v) = got.iter().flatten().find(|v| !(**v > 0.0 && v.is_finite())) {
+                return Err(format!(
+                    "Adaptive-PAL state: {key} holds {v}, scores must be positive and finite"
+                ));
+            }
+            Ok(())
+        };
         let estimates =
             Vec::<Vec<f64>>::from_value(field("estimates")?).map_err(|e| de("estimates", e))?;
-        if estimates.len() != self.estimates.len()
-            || estimates
-                .iter()
-                .zip(&self.estimates)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return Err(format!(
-                "Adaptive-PAL state: estimate shape {}x{} does not match this policy's {}x{}",
-                estimates.len(),
-                estimates.first().map_or(0, Vec::len),
-                self.estimates.len(),
-                self.estimates.first().map_or(0, Vec::len)
-            ));
-        }
+        check("estimate", &estimates)?;
         let rounds_since_rebin = usize::from_value(field("rounds_since_rebin")?)
             .map_err(|e| de("rounds_since_rebin", e))?;
         let dirty = bool::from_value(field("dirty")?).map_err(|e| de("dirty", e))?;
         let rebin_source = Option::<Vec<Vec<f64>>>::from_value(field("rebin_source")?)
             .map_err(|e| de("rebin_source", e))?;
+        if let Some(src) = &rebin_source {
+            check("rebin source", src)?;
+        }
         // With no re-bin on record the factory-fresh `inner` (design-time
         // table) is already correct; otherwise rebuild it from the exact
         // estimates the exported run last binned (deterministic K-Means).
-        if let Some(src) = &rebin_source {
-            let profile = VariabilityProfile::from_raw(src.clone());
-            self.inner = PalPlacement::with_binning(&profile, &self.config.binning);
+        match rebin_source {
+            Some(src) => self.rebin_from(src),
+            None => self.rebinned = false,
         }
         self.estimates = estimates;
         self.rounds_since_rebin = rounds_since_rebin;
         self.dirty = dirty;
-        self.rebin_source = rebin_source;
         Ok(())
     }
 
@@ -378,6 +421,33 @@ mod tests {
         // Wrong-shape estimates are refused.
         let mut small = AdaptivePal::new(&flat_profile(4));
         assert!(small.import_state(&exported).is_err());
+    }
+
+    #[test]
+    fn import_rejects_scores_binning_cannot_use() {
+        let profile = flat_profile(4);
+        let mut original = AdaptivePal::new(&profile);
+        observe_gpu(&mut original, GpuId(1), 2.0, 20); // crosses a re-bin
+        let exported = original.export_state().unwrap();
+        for key in ["estimates", "rebin_source"] {
+            let Value::Map(mut fields) = exported.clone() else {
+                panic!("state is a map")
+            };
+            let bad = vec![vec![1.0, -1.0, 1.0, 1.0]; 3];
+            for (k, v) in fields.iter_mut() {
+                if k == key {
+                    *v = if key == "rebin_source" {
+                        Some(bad.clone()).to_value()
+                    } else {
+                        bad.to_value()
+                    };
+                }
+            }
+            let err = AdaptivePal::new(&profile)
+                .import_state(&Value::Map(fields))
+                .unwrap_err();
+            assert!(err.contains("positive and finite"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -36,6 +36,46 @@ impl PmScoreTable {
         PmScoreTable { per_class }
     }
 
+    /// The table of `scores` (one raw score vector per class), given that
+    /// this table was built from `source` with `binning`: a class whose
+    /// scores are bitwise equal to its source keeps this table's bins, the
+    /// others are binned afresh. [`ScoreBinning::bin`] is a pure function
+    /// of its input, so the result equals a full
+    /// [`build`](PmScoreTable::build) of `scores` — at the cost of the
+    /// changed classes only.
+    ///
+    /// Panics if `source` or `scores` has a different class count than
+    /// this table.
+    pub fn rebin_changed(
+        &self,
+        source: &[Vec<f64>],
+        scores: &[Vec<f64>],
+        binning: &ScoreBinning,
+    ) -> Self {
+        assert!(
+            source.len() == self.num_classes() && scores.len() == self.num_classes(),
+            "re-binning {} classes from {} sources against a {}-class table",
+            scores.len(),
+            source.len(),
+            self.num_classes()
+        );
+        let per_class = self
+            .per_class
+            .iter()
+            .zip(source.iter().zip(scores))
+            .map(|(binned, (was, now))| {
+                let unchanged = was.len() == now.len()
+                    && was.iter().zip(now).all(|(a, b)| a.to_bits() == b.to_bits());
+                if unchanged {
+                    binned.clone()
+                } else {
+                    binning.bin(now)
+                }
+            })
+            .collect();
+        PmScoreTable { per_class }
+    }
+
     /// Build with the paper's default binning configuration (K ∈ 2..=11,
     /// 3σ outliers).
     pub fn build_default(profile: &VariabilityProfile) -> Self {
@@ -158,6 +198,30 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(table(64), table(64));
+    }
+
+    #[test]
+    fn rebin_changed_equals_a_full_build() {
+        let gpus = pal_gpumodel::profiler::build_cluster_gpus(
+            &GpuSpec::v100(),
+            ClusterFlavor::Longhorn,
+            48,
+            42,
+        );
+        let apps: Vec<_> = Workload::TABLE_III.iter().map(|w| w.spec()).collect();
+        let profile = VariabilityProfile::from_modeled_gpus(&apps, &gpus);
+        let binning = ScoreBinning::default();
+        let source: Vec<Vec<f64>> = (0..3)
+            .map(|c| profile.class_scores(JobClass(c)).to_vec())
+            .collect();
+        let table = PmScoreTable::build(&profile, &binning);
+        // Class B drifts; A and C keep their bins.
+        let mut scores = source.clone();
+        scores[1][5] *= 1.8;
+        let rebinned = table.rebin_changed(&source, &scores, &binning);
+        let full = PmScoreTable::build(&VariabilityProfile::from_raw(scores), &binning);
+        assert_eq!(rebinned, full);
+        assert_ne!(rebinned.binned(JobClass::B), table.binned(JobClass::B));
     }
 
     #[test]

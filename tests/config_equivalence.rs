@@ -8,7 +8,7 @@
 //! can't rot.
 
 use pal::{PalPlacement, PmFirstPlacement};
-use pal_bench::{longhorn_profile, PROFILE_SEED};
+use pal_bench::register_longhorn;
 use pal_cluster::{ClusterTopology, VariabilityProfile};
 use pal_config::{build_campaign, campaign_from_path, parse_campaign_str, Registry};
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
@@ -116,10 +116,7 @@ fn file_campaign_matches_builder_campaign_across_policy_grid() {
 #[test]
 fn all_checked_in_configs_build() {
     let mut registry = Registry::with_builtins();
-    registry.register_profile("longhorn", |args, ctx| {
-        let seed = args.get_or("seed", PROFILE_SEED)?;
-        Ok(longhorn_profile(ctx.gpus, seed))
-    });
+    register_longhorn(&mut registry);
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs");
     let mut checked = 0;
