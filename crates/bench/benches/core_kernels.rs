@@ -1,29 +1,36 @@
 //! Criterion benchmarks for the core algorithmic kernels underlying PAL:
 //! K-Means binning, silhouette scoring, classifier fitting, Adaptive-PAL
-//! re-binning, L×V matrix construction, and a full end-to-end Sia
-//! simulation round-trip.
+//! re-binning, L×V matrix construction, a full end-to-end Sia
+//! simulation round-trip, and the per-event cost of the `--metrics`
+//! file sink (`metrics_sink/serving_batch`, ns per serving-batch event
+//! into a temp-dir `CellMetricsSink`).
 //!
 //! The wall times are merged into the repo-root `BENCH_engine.json`
-//! (section `core_kernels`) together with two heap-allocation counts
+//! (section `core_kernels`) together with three heap-allocation counts
 //! taken by a wrapping global allocator: `allocs/score_binning/64`, the
 //! allocations of one `ScoreBinning::bin` call on a 64-GPU class profile,
 //! which depends only on the input, so the gate holds it bit-exact (a
 //! K-Means or silhouette change that allocates per restart or per K shows
-//! up as a multiple of it); and `allocs/kmeans_warm_sweep/64`, a full K
-//! sweep on a warm `KMeansScratch`, which the bench asserts is zero.
+//! up as a multiple of it); `allocs/kmeans_warm_sweep/64`, a full K
+//! sweep on a warm `KMeansScratch`; and `allocs/metrics_sink/serving_batch`,
+//! the allocations per serving-batch event of a warm metrics sink. The
+//! bench asserts the last two are zero.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pal::{AdaptiveConfig, AdaptivePal, AppClassifier, LvMatrix};
 use pal_bench::{longhorn_profile, run_policy, PolicyKind, PROFILE_SEED};
 use pal_cluster::{ClusterTopology, GpuId, JobClass, LocalityModel};
+use pal_config::CellMetricsSink;
 use pal_gpumodel::{GpuSpec, Workload};
 use pal_kmeans::{KMeans, KMeansScratch, ScoreBinning};
 use pal_sim::sched::Fifo;
-use pal_sim::{PlacementPolicy, RoundObservation};
+use pal_sim::{MetricsSink, PlacementPolicy, RoundObservation, ServingBatchEvent};
 use pal_trace::{JobId, ModelCatalog, SiaPhillyConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// System allocator wrapper counting every alloc/realloc.
 struct CountingAlloc;
@@ -168,6 +175,79 @@ fn warm_kmeans_sweep_allocs() -> f64 {
     allocs as f64
 }
 
+/// A metrics sink writing into a fresh temp directory, and that directory.
+fn temp_metrics_sink(tag: &str) -> (CellMetricsSink, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("pal-bench-metrics-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create metrics temp dir");
+    let sink = CellMetricsSink::create(
+        &dir.join("cell.events.jsonl"),
+        &dir.join("cell.rounds.csv"),
+        Arc::default(),
+    )
+    .expect("create metrics sink");
+    (sink, dir)
+}
+
+/// Serving batches shaped like an open-loop stream's: fractional clocks
+/// with full-precision digits, batches of one to three, short queues.
+fn serving_batch_events() -> Vec<ServingBatchEvent> {
+    (0..4096usize)
+        .map(|i| {
+            let start = i as f64 * 0.2713 + (i % 7) as f64 * 0.0131;
+            let batch_size = 1 + i % 3;
+            ServingBatchEvent {
+                workload: "chat-poisson@x1".into(),
+                start,
+                finish: start + 0.05 + (i % 5) as f64 * 0.0173,
+                batch_size,
+                slo_met: batch_size - usize::from(i % 11 == 0),
+                queued: i % 17,
+            }
+        })
+        .collect()
+}
+
+/// One serving-batch event encoded and buffered by the `--metrics` sink.
+fn bench_metrics_sink(c: &mut Criterion) {
+    let events = serving_batch_events();
+    let (mut sink, dir) = temp_metrics_sink("ns");
+    let mut group = c.benchmark_group("metrics_sink");
+    group.sample_size(200_000);
+    let mut next = 0;
+    group.bench_function("serving_batch", |b| {
+        b.iter(|| {
+            sink.on_serving_batch(black_box(&events[next % events.len()]));
+            next += 1;
+        })
+    });
+    group.finish();
+    drop(sink);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Heap allocations per serving-batch event of a warm metrics sink:
+/// asserted zero.
+fn metrics_sink_allocs() -> f64 {
+    let events = serving_batch_events();
+    let (mut sink, dir) = temp_metrics_sink("allocs");
+    for event in &events {
+        sink.on_serving_batch(event);
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for event in &events {
+        sink.on_serving_batch(black_box(event));
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    drop(sink);
+    std::fs::remove_dir_all(&dir).ok();
+    println!(
+        "allocs/metrics_sink/serving_batch: {allocs} allocations over {} events",
+        events.len()
+    );
+    assert_eq!(allocs, 0, "the metrics sink allocated once warm");
+    allocs as f64 / events.len() as f64
+}
+
 fn bench_classifier_fit(c: &mut Criterion) {
     let workloads: Vec<Workload> = Workload::ALL.to_vec();
     let spec = GpuSpec::v100();
@@ -206,7 +286,8 @@ criterion_group!(
     bench_adaptive_rebin,
     bench_classifier_fit,
     bench_lv_matrix,
-    bench_full_simulation
+    bench_full_simulation,
+    bench_metrics_sink
 );
 
 fn main() {
@@ -219,6 +300,10 @@ fn main() {
     measurements.push((
         "allocs/kmeans_warm_sweep/64".to_string(),
         warm_kmeans_sweep_allocs(),
+    ));
+    measurements.push((
+        "allocs/metrics_sink/serving_batch".to_string(),
+        metrics_sink_allocs(),
     ));
     pal_bench::bench_json::update_workspace("core_kernels", &measurements)
         .expect("update BENCH_engine.json");

@@ -11,7 +11,8 @@
 //!   `cells/*` campaign cells-completed counts of the fleet-execution
 //!   grid, the `served/*` serving outcomes of a seeded 1M-request
 //!   stream, the `overhead/*` within-run null-sink wall-time ratio, the
-//!   `allocs/*` heap allocations of one PM-score binning call —
+//!   `allocs/*` heap-allocation counts of `core_kernels` (per PM-score
+//!   binning call, per warm K-Means sweep, per metrics-sink event) —
 //!   bit-exact or machine-common-mode-free by construction) more than
 //!   [`DETERMINISTIC_TOLERANCE`] (1.05×) over its baseline, and any
 //!   `allocs/*` count above its baseline at all ([`EXACT_PREFIX`]) —

@@ -16,10 +16,14 @@
 //! deterministic bytes for a given value — fields in tree order, no
 //! whitespace, shortest-round-trip float formatting — so identical
 //! results serialize to identical lines and a resumed run's output can be
-//! compared byte-for-byte against an uninterrupted one.
+//! compared byte-for-byte against an uninterrupted one. It is built on
+//! appending encoders — [`write_float`], [`write_int`] and
+//! [`write_string`] — that hot writers (the per-event metrics sink) call
+//! directly on a reused buffer, without building a [`Value`] tree.
 
 use crate::toml::TomlError;
 use serde::Value;
+use std::fmt::Write as _;
 
 /// Serialize a [`Value`] tree as one line of canonical JSON.
 ///
@@ -39,17 +43,8 @@ fn write_value(value: &Value, out: &mut String) -> Result<(), String> {
     match value {
         Value::Unit => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(x) => {
-            if !x.is_finite() {
-                return Err(format!("cannot serialize non-finite float {x} as JSON"));
-            }
-            if *x == 0.0 && x.is_sign_negative() {
-                out.push_str("-0.0");
-            } else {
-                out.push_str(&x.to_string());
-            }
-        }
+        Value::Int(i) => write_int(*i, out),
+        Value::Float(x) => write_float(*x, out)?,
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
             out.push('[');
@@ -77,23 +72,53 @@ fn write_value(value: &Value, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Append the canonical encoding of the float `x` to `out`: shortest
+/// round-trip `Display`, `-0.0` kept signed, and an error (with `out`
+/// untouched) for a non-finite value.
+pub fn write_float(x: f64, out: &mut String) -> Result<(), String> {
+    if !x.is_finite() {
+        return Err(format!("cannot serialize non-finite float {x} as JSON"));
     }
+    if x == 0.0 && x.is_sign_negative() {
+        out.push_str("-0.0");
+    } else {
+        let _ = write!(out, "{x}");
+    }
+    Ok(())
+}
+
+/// Append the encoding of the integer `i` to `out`.
+pub fn write_int(i: i128, out: &mut String) {
+    let _ = write!(out, "{i}");
+}
+
+/// Append `s` to `out` as a quoted, escaped JSON string. Runs of
+/// characters that need no escape are copied in one piece.
+pub fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    let mut rest = s;
+    // Every escaped character is ASCII, so a match is always a char
+    // boundary.
+    while let Some(pos) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..pos]);
+        match rest.as_bytes()[pos] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        rest = &rest[pos + 1..];
+    }
+    out.push_str(rest);
     out.push('"');
 }
 
