@@ -13,11 +13,14 @@
 //! }
 //! ```
 //!
-//! The build environment has no `serde_json`, so this module parses and
-//! emits exactly that two-level `string → string → number` shape itself —
-//! sections and keys sorted, one key per line — which also keeps the
-//! committed file diff-friendly.
+//! Reading goes through `pal_config`'s JSON parser; writing lays out
+//! that two-level `string → string → number` shape with its string and
+//! float encoders — sections and keys sorted, one key per line — which
+//! keeps the committed file diff-friendly. A non-finite value has no JSON
+//! encoding, so it is refused before anything is written.
 
+use pal_config::json::{write_float, write_string};
+use pal_config::{parse_json, Value};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,19 +33,11 @@ pub type BenchSections = BTreeMap<String, BTreeMap<String, f64>>;
 /// (replacing that section, preserving the others) and rewrite the file.
 /// A missing file starts empty; a *malformed* file is an error — silently
 /// treating it as empty would discard every other bench's history, which
-/// is exactly what the file exists to preserve.
+/// is exactly what the file exists to preserve. A non-finite entry is an
+/// [`io::ErrorKind::InvalidInput`] error and leaves the file untouched.
 pub fn update(path: &Path, section: &str, entries: &[(String, f64)]) -> io::Result<()> {
-    let mut sections = match std::fs::read_to_string(path) {
-        Ok(text) => parse(&text).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "{} is not in bench_json's canonical shape; fix or delete it \
-                     before re-running the bench",
-                    path.display()
-                ),
-            )
-        })?,
+    let mut sections = match load(path) {
+        Ok(sections) => sections,
         Err(e) if e.kind() == io::ErrorKind::NotFound => BenchSections::default(),
         Err(e) => return Err(e),
     };
@@ -50,7 +45,13 @@ pub fn update(path: &Path, section: &str, entries: &[(String, f64)]) -> io::Resu
         section.to_string(),
         entries.iter().cloned().collect::<BTreeMap<_, _>>(),
     );
-    std::fs::write(path, render(&sections))
+    let text = to_json(&sections).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("section {section}: {e}; {} left unchanged", path.display()),
+        )
+    })?;
+    std::fs::write(path, text)
 }
 
 /// [`update`] against the workspace root's `BENCH_engine.json` (the file
@@ -82,136 +83,65 @@ fn workspace_root(start: &Path) -> Option<&Path> {
     })
 }
 
-/// Read and parse a bench file in the canonical two-level shape.
+/// Read and parse a bench file in the two-level shape.
 pub fn load(path: &Path) -> io::Result<BenchSections> {
     let text = std::fs::read_to_string(path)?;
-    parse_text(&text).ok_or_else(|| {
+    from_json(&text).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{} is not in bench_json's canonical shape", path.display()),
+            format!("{} is not in bench_json's shape: {e}", path.display()),
         )
     })
 }
 
-/// Parse bench-file text in the canonical two-level shape (e.g. a
-/// committed baseline read out of `git show`); `None` when malformed.
-pub fn parse_text(text: &str) -> Option<BenchSections> {
-    parse(text)
+/// Parse bench-file text (e.g. a committed baseline read out of
+/// `git show`): a JSON object of objects of numbers.
+pub fn from_json(text: &str) -> Result<BenchSections, String> {
+    let Value::Map(sections) = parse_json(text).map_err(|e| e.to_string())? else {
+        return Err("top level is not an object".into());
+    };
+    sections
+        .into_iter()
+        .map(|(name, section)| {
+            let Value::Map(entries) = section else {
+                return Err(format!("section {name} is not an object"));
+            };
+            let entries = entries
+                .into_iter()
+                .map(|(key, value)| match value {
+                    Value::Float(x) => Ok((key, x)),
+                    Value::Int(i) => Ok((key, i as f64)),
+                    other => Err(format!("{name}/{key} is a {}, not a number", other.kind())),
+                })
+                .collect::<Result<_, _>>()?;
+            Ok((name, entries))
+        })
+        .collect()
 }
 
-/// Render the canonical form: sorted sections, sorted keys, one per line.
-fn render(sections: &BenchSections) -> String {
+/// Lay the sections out one key per line, sorted; `Err` names the first
+/// non-finite entry.
+fn to_json(sections: &BenchSections) -> Result<String, String> {
     let mut out = String::from("{\n");
     for (si, (section, entries)) in sections.iter().enumerate() {
-        out.push_str(&format!("  {:?}: {{\n", section));
+        out.push_str("  ");
+        write_string(section, &mut out);
+        out.push_str(": {\n");
         for (ki, (key, value)) in entries.iter().enumerate() {
-            let comma = if ki + 1 < entries.len() { "," } else { "" };
-            out.push_str(&format!("    {:?}: {}{}\n", key, fmt_num(*value), comma));
+            out.push_str("    ");
+            write_string(key, &mut out);
+            out.push_str(": ");
+            write_float(*value, &mut out).map_err(|e| format!("{key}: {e}"))?;
+            out.push_str(if ki + 1 < entries.len() { ",\n" } else { "\n" });
         }
-        let comma = if si + 1 < sections.len() { "," } else { "" };
-        out.push_str(&format!("  }}{}\n", comma));
+        out.push_str(if si + 1 < sections.len() {
+            "  },\n"
+        } else {
+            "  }\n"
+        });
     }
     out.push_str("}\n");
-    out
-}
-
-/// Format a scalar so it round-trips through [`parse`] (always includes a
-/// decimal point or exponent; JSON-compatible).
-fn fmt_num(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Parse the canonical two-level shape. Returns `None` on anything
-/// unexpected (callers fall back to an empty file).
-fn parse(text: &str) -> Option<BenchSections> {
-    let mut t = Tokens::new(text);
-    let mut sections = BenchSections::new();
-    t.expect('{')?;
-    if t.peek()? == '}' {
-        t.expect('}')?;
-        return Some(sections);
-    }
-    loop {
-        let section = t.string()?;
-        t.expect(':')?;
-        t.expect('{')?;
-        let mut entries = BTreeMap::new();
-        if t.peek()? == '}' {
-            t.expect('}')?;
-        } else {
-            loop {
-                let key = t.string()?;
-                t.expect(':')?;
-                let value = t.number()?;
-                entries.insert(key, value);
-                match t.peek()? {
-                    ',' => t.expect(',')?,
-                    _ => break,
-                };
-            }
-            t.expect('}')?;
-        }
-        sections.insert(section, entries);
-        match t.peek()? {
-            ',' => t.expect(',')?,
-            _ => break,
-        };
-    }
-    t.expect('}')?;
-    Some(sections)
-}
-
-/// Minimal whitespace-skipping cursor over the JSON text.
-struct Tokens<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(text: &'a str) -> Self {
-        Tokens { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest.chars().next()
-    }
-
-    fn expect(&mut self, c: char) -> Option<()> {
-        self.skip_ws();
-        self.rest = self.rest.strip_prefix(c)?;
-        Some(())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let end = self.rest.find('"')?;
-        let (s, rest) = self.rest.split_at(end);
-        // Labels are bench/group names: no escapes to handle.
-        if s.contains('\\') {
-            return None;
-        }
-        self.rest = &rest[1..];
-        Some(s.to_string())
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-            .unwrap_or(self.rest.len());
-        let (s, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        s.parse().ok()
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -231,7 +161,7 @@ mod tests {
         update(&path, "b", &[("x/1".into(), 11.0)]).unwrap();
 
         let text = std::fs::read_to_string(&path).unwrap();
-        let sections = parse(&text).expect("canonical output parses");
+        let sections = from_json(&text).expect("written file parses");
         assert_eq!(sections.len(), 2);
         assert_eq!(sections["a"]["y"], 1.0);
         assert_eq!(sections["b"].len(), 1);
@@ -244,20 +174,31 @@ mod tests {
         let mut sections = BenchSections::new();
         sections.insert(
             "s".into(),
-            [("k".to_string(), 123.456), ("l".to_string(), 7.0)]
-                .into_iter()
-                .collect(),
+            [
+                ("k".to_string(), 123.456),
+                ("l".to_string(), 7.0),
+                ("tiny".to_string(), 1e-300),
+                ("huge".to_string(), 2.5e20),
+                ("neg".to_string(), -0.5),
+            ]
+            .into_iter()
+            .collect(),
         );
         sections.insert("empty".into(), BTreeMap::new());
-        let text = render(&sections);
-        assert_eq!(parse(&text).as_ref(), Some(&sections));
+        let text = to_json(&sections).unwrap();
+        assert_eq!(from_json(&text), Ok(sections));
+        // One key per line, integral values written without a fraction.
+        assert!(text.contains("\n    \"l\": 7,\n"), "{text}");
     }
 
     #[test]
     fn malformed_input_is_rejected() {
-        assert!(parse("not json").is_none());
-        assert!(parse("{\"a\": {").is_none());
-        assert_eq!(parse("{}").map(|s| s.len()), Some(0));
+        assert!(from_json("not json").is_err());
+        assert!(from_json("{\"a\": {").is_err());
+        assert!(from_json("[1]").is_err());
+        assert!(from_json("{\"a\": 1}").is_err());
+        assert!(from_json("{\"a\": {\"k\": \"1\"}}").is_err());
+        assert_eq!(from_json("{}").map(|s| s.len()), Ok(0));
     }
 
     #[test]
@@ -271,6 +212,25 @@ mod tests {
         // The malformed content survives for the operator to inspect.
         assert!(std::fs::read_to_string(&path).unwrap().contains("merge"));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn update_refuses_a_non_finite_entry_and_keeps_the_file() {
+        let dir = std::env::temp_dir().join(format!("pal_bench_json_nan_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_nan.json");
+        update(&path, "a", &[("k".into(), 1.5)]).unwrap();
+        let before = std::fs::read_to_string(&path).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = update(&path, "b", &[("ok".into(), 2.0), ("bad".into(), bad)]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("bad"), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        }
+        // The file is still readable and updatable afterwards.
+        update(&path, "b", &[("ok".into(), 2.0)]).unwrap();
+        assert_eq!(load(&path).unwrap()["b"]["ok"], 2.0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -304,7 +264,7 @@ mod tests {
     fn committed_bench_file_parses() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
         let text = std::fs::read_to_string(&path).expect("BENCH_engine.json is committed");
-        let sections = parse(&text).expect("committed BENCH_engine.json parses");
+        let sections = from_json(&text).expect("committed BENCH_engine.json parses");
         for bench in [
             "engine_rounds",
             "placement_hot_path",

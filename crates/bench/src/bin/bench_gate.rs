@@ -68,8 +68,8 @@ fn committed_baseline() -> Result<bench_json::BenchSections, String> {
         ));
     }
     let text = String::from_utf8_lossy(&out.stdout);
-    bench_json::parse_text(&text)
-        .ok_or_else(|| "committed BENCH_engine.json is not in the canonical shape".to_string())
+    bench_json::from_json(&text)
+        .map_err(|e| format!("committed BENCH_engine.json is not in bench_json's shape: {e}"))
 }
 
 fn run() -> Result<bool, String> {

@@ -65,6 +65,8 @@ pub use registry::{Args, PolicyCtx, PolicyEntry, ProfileCtx, Registry, TraceCtx}
 pub use schema::{
     CampaignFile, CampaignSection, GeneratorRef, PolicyRef, ScenarioSpec, ServingSpec, SimSection,
 };
+/// The tree [`parse_json`] and [`parse_toml`] return.
+pub use serde::Value;
 pub use spill::{
     resume_spilled, run_spilled, spilled_config, spilled_results, ManifestEntry, SpillSink,
 };

@@ -26,8 +26,8 @@ pub struct SimConfig {
     pub max_rounds: usize,
     /// Event-driven round skipping: after a sticky round in which every
     /// prefix job keeps running, the engine fast-replays the rounds up to
-    /// the next *event* — arrival, completion, or scheduler priority
-    /// crossing — executing only the bookkeeping (progress accrual,
+    /// the next *event* — arrival, completion, or shift of the scheduling
+    /// order — executing only the bookkeeping (progress accrual,
     /// telemetry, policy observations) those rounds would have produced.
     /// Outcomes are bit-identical to fixed-round stepping; only
     /// [`executed_rounds`](crate::SimResult::executed_rounds) drops.

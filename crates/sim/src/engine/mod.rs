@@ -12,7 +12,7 @@
 //!   `EngineState` by one epoch — and, with event-driven stepping on
 //!   (the default), `skip_stable_rounds`, which fast-replays the rounds
 //!   between a sticky round and the next event (arrival, completion, or
-//!   scheduler priority crossing) in one hop, bit-identically to
+//!   shift of the scheduling order) in one hop, bit-identically to
 //!   stepping them; only `executed_rounds` records the difference.
 //! - `events`: the discrete-event engine core
 //!   ([`SimConfig::event_core`]) — a binary-heap event queue of

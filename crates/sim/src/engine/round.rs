@@ -433,7 +433,7 @@ pub(crate) fn step_round(
 
     // Event-driven round skipping: a sticky round in which every prefix
     // job kept running leaves nothing for the next rounds to decide until
-    // an event — arrival, completion, or a scheduler priority crossing —
+    // an event — arrival, completion, or a shift of the scheduling order —
     // so fast-replay those rounds' bookkeeping in one hop. Non-sticky
     // rounds re-place (and so re-randomize, for seeded policies) every
     // running job each round and are never skipped. The event core
@@ -528,11 +528,14 @@ fn order_still_holds(
 }
 
 /// Fast-replay the rounds between here and the next *event* — arrival,
-/// running-job completion, scheduler priority crossing, or the
-/// `max_rounds` cap — executing exactly (and only) the bookkeeping those
-/// rounds would have produced: the round counter, per-job progress and
-/// service accrual, the telemetry accumulators, and the placement
-/// policy's per-job observations. Every arithmetic operation replays the
+/// running-job completion, an actual shift of the scheduling order, or
+/// the `max_rounds` cap (and, for a scheduler without
+/// [`SchedulingPolicy::incremental_keys`], the end of its
+/// [`SchedulingPolicy::order_stable_rounds`] horizon) — executing exactly
+/// (and only) the bookkeeping those rounds would have produced: the
+/// round counter, per-job progress and service accrual, the telemetry
+/// accumulators, and the placement policy's per-job observations. Every
+/// arithmetic operation replays the
 /// fixed-round code path value for value (the allocation, and therefore
 /// each job's slowdown and per-round progress, is constant across the
 /// hop), and the scheduling order is re-verified from re-derived keys at
@@ -563,16 +566,21 @@ fn skip_stable_rounds(
     ) {
         return;
     }
-    // The scheduler's skip horizon: boundaries reached after `m` further
-    // rounds of accrual keep this order while m < horizon. The default
-    // (0) disables skipping — mandatory for policies whose ordering is
-    // not the key-based sort `order_still_holds` re-checks.
-    let horizon = scheduler.order_stable_rounds(
-        &st.jobs,
-        &st.scratch.sched_keys,
-        &st.scratch.progress_per_round,
-        dt,
-    );
+    // The per-boundary re-check below stops the hop at the first real
+    // order shift, so a scheduler declaring `incremental_keys` (its
+    // ordering is the cached-key sort) needs no horizon. Any other
+    // scheduler skips only as far as its `order_stable_rounds` opt-in
+    // allows; the default (0) keeps every round executed.
+    let horizon = if scheduler.incremental_keys() {
+        usize::MAX
+    } else {
+        scheduler.order_stable_rounds(
+            &st.jobs,
+            &st.scratch.sched_keys,
+            &st.scratch.progress_per_round,
+            dt,
+        )
+    };
     let running_demand: usize = st
         .scratch
         .prefix

@@ -99,10 +99,9 @@ pub(crate) struct RoundScratch {
     pub(crate) locality_penalty: Vec<f64>,
     /// Per-job ideal seconds retired per full round at the current
     /// allocation (`round_duration / slowdown`); 0.0 for jobs not running.
-    /// Input to [`SchedulingPolicy::order_stable_rounds`].
-    ///
-    /// [`SchedulingPolicy::order_stable_rounds`]:
-    ///     crate::sched::SchedulingPolicy::order_stable_rounds
+    /// Skip mode replays it as each skipped round's progress and uses it
+    /// to tell which jobs' keys can have moved; the event core seeds its
+    /// SoA progress column from it.
     pub(crate) progress_per_round: Vec<f64>,
 }
 

@@ -17,17 +17,6 @@ impl SchedulingPolicy for Fifo {
         job.spec.arrival
     }
 
-    fn order_stable_rounds(
-        &self,
-        _jobs: &[ActiveJob],
-        _sorted: &[super::SchedKey],
-        _progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Arrival times never change: the order holds until the queue does.
-        usize::MAX
-    }
-
     fn incremental_keys(&self) -> bool {
         true
     }

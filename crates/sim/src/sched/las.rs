@@ -42,35 +42,6 @@ impl SchedulingPolicy for Las {
         }
     }
 
-    fn order_stable_rounds(
-        &self,
-        jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        _progress_per_round: &[f64],
-        round_duration: f64,
-    ) -> usize {
-        // Keys only move when a *running* job crosses the demotion
-        // threshold; service accrues at `gpu_demand` GPU-seconds per
-        // second while running. The order holds strictly before the
-        // earliest crossing.
-        let mut stable = usize::MAX;
-        for k in sorted {
-            let job = &jobs[k.job];
-            if !job.is_running() || job.attained_service >= self.threshold_gpu_seconds {
-                continue;
-            }
-            let per_round = job.spec.gpu_demand as f64 * round_duration;
-            let to_cross = (self.threshold_gpu_seconds - job.attained_service) / per_round;
-            // Boundaries reached after m rounds keep this job in the high
-            // queue while m < to_cross.
-            stable = stable.min(to_cross.ceil() as usize);
-            if stable == 0 {
-                break;
-            }
-        }
-        stable
-    }
-
     fn incremental_keys(&self) -> bool {
         true
     }

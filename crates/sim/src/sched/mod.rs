@@ -116,31 +116,32 @@ pub trait SchedulingPolicy {
         out
     }
 
-    /// How many consecutive upcoming round boundaries — counting the one
-    /// the engine is about to process, whose keys equal the state in
-    /// `jobs` — the ordering in `sorted` (the current queue order,
-    /// ascending) provably survives, assuming the active queue does not
-    /// change and each job retires `progress_per_round[job]` seconds of
-    /// ideal work per round (zero for jobs not running). The boundary
-    /// reached after `m` further rounds of accrual is covered when the
-    /// returned value exceeds `m`.
+    /// Skip-mode opt-in for a key-based scheduler that does not declare
+    /// [`incremental_keys`](SchedulingPolicy::incremental_keys): how many
+    /// consecutive upcoming round boundaries — counting the one the engine
+    /// is about to process, whose keys equal the state in `jobs` — the
+    /// ordering in `sorted` (the current queue order, ascending) may be
+    /// carried forward, assuming the active queue does not change and each
+    /// job retires `progress_per_round[job]` seconds of ideal work per
+    /// round (zero for jobs not running). The boundary reached after `m`
+    /// further rounds of accrual may be skipped when the returned value
+    /// exceeds `m`.
     ///
-    /// This is the scheduler's half of event-driven round skipping: the
-    /// engine skips a round only while (a) no job arrives, (b) no running
-    /// job completes, and (c) the priority order cannot change — this hook
-    /// answers (c). Return `usize::MAX` when the order can never change on
-    /// its own (e.g. FIFO), or the number of rounds until the next
-    /// *priority crossing* (e.g. a LAS job reaching its demotion
-    /// threshold). The estimate only has to be a best effort: the engine
-    /// re-derives every key at each skipped boundary and stops the moment
-    /// the order actually shifts, so an optimistic answer costs nothing
-    /// but a shorter skip — however, returning nonzero asserts that the
-    /// policy's ordering is the default `(key, arrival, id)` cached-key
-    /// sort, which is what the engine's per-boundary re-check validates. A
-    /// policy that overrides [`order_into`](SchedulingPolicy::order_into)
-    /// with an ordering not derived from [`key`](SchedulingPolicy::key)
-    /// must keep the conservative default of `0` ("may change every
-    /// round"), which disables skipping under that policy.
+    /// The answer only has to be a best effort: the engine re-derives
+    /// every key at each skipped boundary and stops the moment the order
+    /// actually shifts, so an optimistic answer (`usize::MAX` included)
+    /// costs nothing and a pessimistic one only a shorter skip. Returning
+    /// nonzero asserts that the policy's ordering is the default
+    /// `(key, arrival, id)` cached-key sort, which is what that re-check
+    /// validates. A policy that overrides
+    /// [`order_into`](SchedulingPolicy::order_into) with an ordering not
+    /// derived from [`key`](SchedulingPolicy::key) must keep the default
+    /// of `0` ("may change every round"), which disables skipping.
+    ///
+    /// The engine does not call this hook for policies declaring
+    /// `incremental_keys`: their ordering is the cached-key sort by
+    /// contract, so skip mode hops without a horizon and the event core
+    /// uses [`crossing_rounds`](SchedulingPolicy::crossing_rounds).
     fn order_stable_rounds(
         &self,
         jobs: &[ActiveJob],
@@ -160,7 +161,10 @@ pub trait SchedulingPolicy {
     /// ([`crossing_rounds`](SchedulingPolicy::crossing_rounds)). The
     /// event-queue engine core keeps the scheduling order as a kinetic
     /// sorted sequence — swapping pairs at predicted crossings instead of
-    /// re-sorting per round — only for policies that return `true`.
+    /// re-sorting per round — only for policies that return `true`. Skip
+    /// mode hops without an
+    /// [`order_stable_rounds`](SchedulingPolicy::order_stable_rounds)
+    /// horizon for them.
     ///
     /// A further contract the hooks rely on: the key of a job that is
     /// *not* running never changes on its own (waiting jobs' remaining
@@ -220,50 +224,14 @@ pub struct KeyState {
     pub attained_service: f64,
 }
 
-/// Rounds until two adjacent linearly-decaying keys cross: the shared
-/// analysis behind [`SchedulingPolicy::order_stable_rounds`] for policies
-/// whose key shrinks at a constant per-round rate while a job runs (SRTF,
-/// SRSF). For each adjacent pair in `sorted`, the gap `key[i+1] - key[i]`
-/// closes by `drop(i+1) - drop(i)` per round (`drop` = the key's per-round
-/// decrement); the order is safe strictly before the earliest gap reaches
-/// zero. Ties in the primary key are ordered by the universal tie-breakers
-/// and stay stable unless the later entry decays strictly faster.
-pub fn stable_rounds_linear_keys(
-    sorted: &[SchedKey],
-    drop_per_round: impl Fn(usize) -> f64,
-) -> usize {
-    let mut stable = usize::MAX;
-    for pair in sorted.windows(2) {
-        let (lo, hi) = (&pair[0], &pair[1]);
-        let closing = drop_per_round(hi.job) - drop_per_round(lo.job);
-        if closing <= 0.0 {
-            continue; // the gap never shrinks
-        }
-        let gap = hi.key - lo.key;
-        let rounds = if gap <= 0.0 {
-            // Tied now (ordered by the tie-breakers); `hi` decays strictly
-            // faster, so the pair flips after one round of accrual.
-            1
-        } else {
-            // Boundaries reached after m rounds stay ordered while
-            // m < gap/closing; the engine's exact per-boundary re-check
-            // makes any floating-point optimism here harmless.
-            (gap / closing).ceil() as usize
-        };
-        stable = stable.min(rounds);
-        if stable == 0 {
-            break;
-        }
-    }
-    stable
-}
-
-/// Rounds until a single adjacent pair of linearly-decaying keys may
-/// invert: the per-pair analogue of [`stable_rounds_linear_keys`], used by
-/// [`SchedulingPolicy::crossing_rounds`] for SRTF/SRSF. `lo` is currently
-/// at or before `hi`; each key drops by its `drop` per round while the
-/// job runs. Ties (`gap <= 0`, ordered by tie-breakers) flip after one
-/// round of strictly faster decay.
+/// Rounds until an adjacent pair of linearly-decaying keys may invert:
+/// the analysis behind [`SchedulingPolicy::crossing_rounds`] for
+/// policies whose key shrinks at a constant per-round rate while a job
+/// runs (SRTF, SRSF). `lo` is currently at or before `hi`; each key drops
+/// by its `drop` per round while the job runs, so the gap `hi - lo`
+/// closes by `hi_drop - lo_drop` per round. Ties (`gap <= 0`, ordered by
+/// the universal tie-breakers) flip after one round of strictly faster
+/// decay.
 pub fn crossing_rounds_linear(lo_key: f64, lo_drop: f64, hi_key: f64, hi_drop: f64) -> usize {
     let closing = hi_drop - lo_drop;
     if closing <= 0.0 {

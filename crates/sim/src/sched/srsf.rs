@@ -20,20 +20,6 @@ impl SchedulingPolicy for Srsf {
         job.remaining_ideal_time() * job.spec.gpu_demand as f64
     }
 
-    fn order_stable_rounds(
-        &self,
-        jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Remaining *service* shrinks by per-round progress × demand while
-        // a job runs; the order holds until adjacent keys cross.
-        super::stable_rounds_linear_keys(sorted, |ji| {
-            progress_per_round[ji] * jobs[ji].spec.gpu_demand as f64
-        })
-    }
-
     fn incremental_keys(&self) -> bool {
         true
     }

@@ -19,18 +19,6 @@ impl SchedulingPolicy for Srtf {
         job.remaining_ideal_time()
     }
 
-    fn order_stable_rounds(
-        &self,
-        _jobs: &[ActiveJob],
-        sorted: &[super::SchedKey],
-        progress_per_round: &[f64],
-        _round_duration: f64,
-    ) -> usize {
-        // Remaining time shrinks by the job's per-round progress while it
-        // runs; the order holds until an adjacent pair of keys crosses.
-        super::stable_rounds_linear_keys(sorted, |ji| progress_per_round[ji])
-    }
-
     fn incremental_keys(&self) -> bool {
         true
     }

@@ -20,6 +20,8 @@
 //! Rows that describe work the simulator can't schedule (zero GPUs after
 //! scaling, non-positive duration — e.g. failed or cancelled jobs) are
 //! *skipped*, not errors: production traces contain them by the thousand.
+//! An infinite duration is malformed rather than unschedulable and is a
+//! [`TraceIoError::Parse`] naming its line.
 
 use crate::io::TraceIoError;
 use crate::job::{JobId, JobSpec, Trace};
@@ -212,6 +214,9 @@ pub fn import_csv_trace<R: BufRead>(
                 format!("negative or non-finite submit time {submit}"),
             ));
         }
+        if duration == f64::INFINITY {
+            return Err(TraceIoError::Parse(lineno, "infinite duration".into()));
+        }
         let gpu_demand = (gpus_raw / format.gpu_divisor).ceil();
         // Failed/cancelled/CPU-only rows (or NaN fields): skip, don't
         // error.
@@ -325,6 +330,18 @@ mod tests {
         let csv = "submit_time,num_gpus,duration\n100,2,600\nnope,1,60\n";
         let err = import(&ExternalCsvFormat::philly(), &ImportOptions::default(), csv).unwrap_err();
         assert!(matches!(err, TraceIoError::Parse(3, _)), "{err}");
+    }
+
+    #[test]
+    fn infinite_duration_reports_its_line() {
+        // Left through, the iteration count would saturate at u64::MAX and
+        // the run would only fail as a livelock millions of rounds later.
+        let csv = "submit_time,num_gpus,duration\n100,2,600\n160,1,inf\n";
+        let err = import(&ExternalCsvFormat::philly(), &ImportOptions::default(), csv).unwrap_err();
+        assert!(
+            matches!(&err, TraceIoError::Parse(3, m) if m.contains("infinite duration")),
+            "{err}"
+        );
     }
 
     #[test]

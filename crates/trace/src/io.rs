@@ -159,6 +159,21 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_arrival_and_iteration_time() {
+        for (row, what) in [
+            ("0,resnet50,0,inf,1,100,0.1", "arrival"),
+            ("0,resnet50,0,0.0,1,100,inf", "iteration time"),
+        ] {
+            let input = format!("{TRACE_CSV_HEADER}\n{row}\n");
+            let err = read_trace_csv("bad", BufReader::new(input.as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, TraceIoError::Parse(2, m) if m.contains(what)),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn blank_lines_ignored() {
         let trace = sample_trace();
         let mut buf = Vec::new();

@@ -6,16 +6,18 @@
 //!
 //! The property sweeps arbitrary small traces across every scheduler ×
 //! placement combination (including the stateful Adaptive-PAL, whose
-//! per-round EWMA observations the skip path must replay exactly) in both
-//! sticky and non-sticky modes. A deterministic companion test pins the
-//! point of the feature: a sticky drain workload executes ≥5× fewer
-//! rounds than it simulates.
+//! per-round EWMA observations the skip path must replay exactly, and a
+//! custom key-based scheduler that opts into skipping without incremental
+//! keys) in both sticky and non-sticky modes. A deterministic companion
+//! test pins the point of the feature: a sticky drain workload executes
+//! ≥5× fewer rounds than it simulates.
 
 use pal::{AdaptivePal, PalPlacement, PmFirstPlacement};
 use pal_cluster::{ClusterTopology, JobClass, LocalityModel, VariabilityProfile};
 use pal_gpumodel::Workload;
+use pal_sim::job_state::ActiveJob;
 use pal_sim::placement::{PackedPlacement, RandomPlacement};
-use pal_sim::sched::{Fifo, Las, SchedulingPolicy, Srsf, Srtf};
+use pal_sim::sched::{Fifo, Las, SchedKey, SchedulingPolicy, Srsf, Srtf};
 use pal_sim::{PlacementPolicy, Scenario, SimResult};
 use pal_trace::{JobId, JobSpec, Trace};
 use proptest::prelude::*;
@@ -38,12 +40,15 @@ fn scheduler(pick: usize) -> Box<dyn SchedulingPolicy + Send + Sync> {
     match pick {
         0 => Box::new(Fifo),
         // Low demotion threshold so attained-service crossings fire
-        // inside small traces — the LAS skip horizon must stop at them.
+        // inside small traces — a hop must stop where one shifts the order.
         1 => Box::new(Las {
             threshold_gpu_seconds: 1800.0,
         }),
         2 => Box::new(Srtf),
-        _ => Box::new(Srsf),
+        3 => Box::new(Srsf),
+        // A custom key-based scheduler that opts into skip mode through
+        // `order_stable_rounds`; the event core does not apply to it.
+        _ => Box::new(MultiLevelLasOptIn),
     }
 }
 
@@ -88,12 +93,30 @@ fn run_mode(
     event_driven: bool,
     event_core: bool,
 ) -> SimResult {
+    run_with(
+        jobs,
+        scheduler(sched_pick),
+        place_pick,
+        sticky,
+        event_driven,
+        event_core,
+    )
+}
+
+fn run_with(
+    jobs: &[JobSpec],
+    scheduler: Box<dyn SchedulingPolicy + Send + Sync>,
+    place_pick: usize,
+    sticky: bool,
+    event_driven: bool,
+    event_core: bool,
+) -> SimResult {
     let topo = ClusterTopology::new(2, 4);
     let prof = profile(topo.total_gpus());
     Scenario::new(Trace::new("equiv", jobs.to_vec()), topo)
         .profile(prof.clone())
         .locality(LocalityModel::uniform(1.5))
-        .scheduler_boxed(scheduler(sched_pick))
+        .scheduler_boxed(scheduler)
         .placement_boxed(placement(place_pick, &prof))
         .sticky(sticky)
         .event_driven(event_driven)
@@ -103,14 +126,14 @@ fn run_mode(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48 })]
+    #![proptest_config(ProptestConfig { cases: 60 })]
     #[test]
     fn event_driven_matches_fixed_round_everywhere(
         raw in proptest::collection::vec(
             (0.0f64..30_000.0, 1usize..=4, 1u64..6_000, 0usize..3),
             1..12,
         ),
-        sched_pick in 0usize..4,
+        sched_pick in 0usize..5,
         place_pick in 0usize..6,
         sticky in any::<bool>(),
     ) {
@@ -257,4 +280,118 @@ fn non_sticky_never_skips() {
         .collect();
     let r = run(&jobs, 0, 1, false, true);
     assert_eq!(r.executed_rounds, r.rounds);
+}
+
+#[test]
+fn las_demotion_that_keeps_the_order_does_not_end_a_hop() {
+    // One 2-GPU job of 20 rounds under sticky LAS: it crosses the default
+    // 3600 GPU-s demotion threshold after 6 rounds, but alone in the queue
+    // its order cannot change, so the hop after the first round runs
+    // straight to the round the job finishes in.
+    let trace = Trace::new("demote", vec![spec(0, 0.0, 2, 6_000, 0)]);
+    let run = |event_driven| {
+        Scenario::new(trace.clone(), ClusterTopology::new(1, 4))
+            .scheduler(Las::default())
+            .sticky(true)
+            .event_driven(event_driven)
+            .run()
+            .expect("single-job scenario runs")
+    };
+    let skip = run(true);
+    let fixed = run(false);
+    assert!(skip.same_outcome(&fixed), "skip mode diverged from fixed");
+    assert_eq!(skip.rounds, 20);
+    assert_eq!(skip.executed_rounds, 2);
+}
+
+/// Multi-level least attained service — one queue per `QUANTUM` GPU-s of
+/// attained service, FIFO within a queue — written the way a third-party
+/// key-based scheduler would be: `key` only, no incremental-key hooks. A
+/// running job that drops a level can fall behind a waiting job, so its
+/// order shifts preempt. [`MultiLevelLasOptIn`] differs only in
+/// overriding `order_stable_rounds`.
+struct MultiLevelLas;
+struct MultiLevelLasOptIn;
+
+const QUANTUM: f64 = 10_800.0;
+
+fn level(job: &ActiveJob) -> f64 {
+    (job.attained_service / QUANTUM).floor()
+}
+
+impl SchedulingPolicy for MultiLevelLas {
+    fn name(&self) -> &'static str {
+        "MLFQ-LAS"
+    }
+
+    fn key(&self, job: &ActiveJob) -> f64 {
+        level(job)
+    }
+}
+
+impl SchedulingPolicy for MultiLevelLasOptIn {
+    fn name(&self) -> &'static str {
+        "MLFQ-LAS"
+    }
+
+    fn key(&self, job: &ActiveJob) -> f64 {
+        level(job)
+    }
+
+    fn order_stable_rounds(
+        &self,
+        _jobs: &[ActiveJob],
+        _sorted: &[SchedKey],
+        _progress_per_round: &[f64],
+        _round_duration: f64,
+    ) -> usize {
+        // Optimistic on purpose: the engine's per-boundary re-check of
+        // every key must end the hop at each real order shift.
+        usize::MAX
+    }
+}
+
+/// Long overlapping jobs that keep the 8-GPU cluster over-subscribed, so
+/// waiting jobs sit behind running ones whose keys keep moving.
+fn contended_jobs() -> Vec<JobSpec> {
+    (0..10)
+        .map(|i| {
+            spec(
+                i,
+                (i as f64) * 500.0,
+                1 + (i as usize % 3),
+                20_000 + 3_000 * i as u64,
+                i as usize % 3,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn custom_key_scheduler_skips_only_when_it_opts_in() {
+    let jobs = contended_jobs();
+    let fixed = run_with(&jobs, Box::new(MultiLevelLas), 4, true, false, false);
+    assert_eq!(fixed.executed_rounds, fixed.rounds);
+    assert!(
+        fixed.records.iter().any(|r| r.preemptions > 0),
+        "no order shift preempted a job: the re-check would go untested"
+    );
+
+    // The default hook answers 0: every round is executed, even with
+    // skipping (and the event core, which needs incremental keys) on.
+    for event_core in [false, true] {
+        let default = run_with(&jobs, Box::new(MultiLevelLas), 4, true, true, event_core);
+        assert!(default.same_outcome(&fixed));
+        assert_eq!(default.executed_rounds, default.rounds);
+    }
+
+    // Opting in skips; re-deriving every key per boundary keeps it exact.
+    let opt_in = run_with(&jobs, Box::new(MultiLevelLasOptIn), 4, true, true, false);
+    assert!(opt_in.same_outcome(&fixed), "opt-in skip mode diverged");
+    assert!(
+        opt_in.executed_rounds * 3 <= opt_in.rounds,
+        "executed {} of {} simulated rounds — opt-in skip not engaging",
+        opt_in.executed_rounds,
+        opt_in.rounds
+    );
 }
